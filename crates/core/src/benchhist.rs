@@ -292,8 +292,9 @@ pub fn detect_host() -> String {
 }
 
 /// The commit identity recorded in history rows: `AZBENCH_COMMIT`, then
-/// `GITHUB_SHA`, then `GIT_COMMIT`, then `unknown`. No `git` subprocess —
-/// benches must not depend on a repository checkout.
+/// `GITHUB_SHA`, then `GIT_COMMIT`, then the commit checked out in the
+/// working directory, then `unknown`. No `git` subprocess — benches must
+/// not depend on a repository checkout or a git install.
 pub fn detect_commit() -> String {
     for var in ["AZBENCH_COMMIT", "GITHUB_SHA", "GIT_COMMIT"] {
         if let Ok(v) = std::env::var(var) {
@@ -303,7 +304,30 @@ pub fn detect_commit() -> String {
             }
         }
     }
-    "unknown".to_owned()
+    std::env::current_dir()
+        .ok()
+        .and_then(|dir| checked_out_commit(&dir))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The commit checked out under `root`, read from `.git/HEAD` and the ref
+/// it names (loose or packed) without running git; `None` when `root` is
+/// not a git checkout or the ref cannot be resolved.
+fn checked_out_commit(root: &std::path::Path) -> Option<String> {
+    let git = root.join(".git");
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(name) = head.strip_prefix("ref: ") else {
+        return (!head.is_empty()).then(|| head.to_owned());
+    };
+    if let Ok(hash) = std::fs::read_to_string(git.join(name)) {
+        return Some(hash.trim().to_owned());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed.lines().find_map(|l| {
+        let (hash, r) = l.split_once(' ')?;
+        (r == name).then(|| hash.to_owned())
+    })
 }
 
 /// Convert a full `BENCH_engine.json` snapshot into v1 history rows with
@@ -1152,6 +1176,37 @@ mod tests {
         let rows = parse_history(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(rows.len(), 3);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn checked_out_commit_reads_detached_and_packed_heads() {
+        let root = std::env::temp_dir().join(format!("azb-git-{}", std::process::id()));
+        let git = root.join(".git");
+        std::fs::create_dir_all(&git).unwrap();
+        let hash = "0123456789abcdef0123456789abcdef01234567";
+
+        // Detached HEAD: the file holds the hash itself.
+        std::fs::write(git.join("HEAD"), format!("{hash}\n")).unwrap();
+        assert_eq!(checked_out_commit(&root).as_deref(), Some(hash));
+
+        // A branch whose ref lives only in packed-refs (no loose file).
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        std::fs::write(
+            git.join("packed-refs"),
+            format!(
+                "# pack-refs with: peeled fully-peeled sorted\n\
+                 ffffffffffffffffffffffffffffffffffffffff refs/heads/other\n\
+                 {hash} refs/heads/main\n"
+            ),
+        )
+        .unwrap();
+        assert_eq!(checked_out_commit(&root).as_deref(), Some(hash));
+
+        // A ref that resolves nowhere, and a directory that is no checkout.
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/gone\n").unwrap();
+        assert_eq!(checked_out_commit(&root), None);
+        assert_eq!(checked_out_commit(&git), None);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

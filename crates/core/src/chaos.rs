@@ -159,12 +159,27 @@ pub fn run_chaos(cfg: &BenchConfig, workers: usize, intensity: f64) -> ChaosResu
                 Ok(Some(claimed)) => {
                     idle = 0;
                     env.sleep(TASK_WORK).await;
-                    // A failed complete means our claim was superseded
-                    // (visibility expired mid-fault); the task is someone
-                    // else's now, so don't count it.
-                    if tq.complete(&claimed).await.is_ok() {
-                        let latency = env.now().saturating_since(t0).as_secs_f64();
-                        done.push((claimed.task.id, latency));
+                    // Delete until the server gives a definite answer. A
+                    // transient error that outlasts the policy (a storm's
+                    // ServerBusy, a failover) is retried here: giving up
+                    // would hide the task for the whole visibility timeout,
+                    // and idle workers may all exit before it reappears.
+                    // Only a stale pop receipt means the claim was
+                    // superseded — the task is someone else's now, so it is
+                    // not counted.
+                    loop {
+                        match tq.complete_checked(&claimed).await {
+                            Ok(true) => {
+                                let latency = env.now().saturating_since(t0).as_secs_f64();
+                                done.push((claimed.task.id, latency));
+                                break;
+                            }
+                            Ok(false) => break,
+                            Err(e) => {
+                                assert!(e.is_retryable(), "completing a chaos task failed: {e}");
+                                env.sleep(Duration::from_secs(1)).await;
+                            }
+                        }
                     }
                 }
                 Ok(None) => {

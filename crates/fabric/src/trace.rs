@@ -16,6 +16,7 @@
 //!   every record into per-class/per-phase [`Histogram`]s — O(1) memory in
 //!   the number of operations, suitable for full-ladder runs.
 
+use crate::verify::OpOutcome;
 use azsim_core::stats::Histogram;
 use azsim_core::SimTime;
 use azsim_storage::OpClass;
@@ -184,6 +185,20 @@ impl TraceOutcome {
             TraceOutcome::Failed => "failed",
             TraceOutcome::Faulted => "faulted",
             TraceOutcome::TimedOut => "timed_out",
+        }
+    }
+}
+
+impl From<OpOutcome> for TraceOutcome {
+    /// The client-visible face of a server-side outcome: both kinds of
+    /// timeout look the same to the client.
+    fn from(outcome: OpOutcome) -> Self {
+        match outcome {
+            OpOutcome::Ok => TraceOutcome::Ok,
+            OpOutcome::Throttled => TraceOutcome::Throttled,
+            OpOutcome::Faulted => TraceOutcome::Faulted,
+            OpOutcome::Error => TraceOutcome::Failed,
+            OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted => TraceOutcome::TimedOut,
         }
     }
 }
